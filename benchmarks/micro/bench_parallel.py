@@ -1,18 +1,17 @@
-"""Scaling micro-benchmarks for the parallel subsystem.
+"""Scaling micro-benchmark for the process-pool sweep executor.
 
-Times the intra-op (thread-sharded) kernel hot path and a condense-sized
-segment at several worker counts, plus the process-pool sweep executor at
-several job counts, and merges worker-count-tagged entries into
+Times :func:`repro.parallel.run_sweep` over a small CPU-bound grid at
+several job counts and merges job-count-tagged entries into
 ``bench_results/micro_kernels.json``.
 
-On a single-core machine the thread numbers will hover around 1.0x (plus
-dispatch overhead) — the point of recording them anyway is that the same
+On a single-core machine the numbers will hover around 1.0x (plus pool
+start-up overhead) — the point of recording them anyway is that the same
 command run on a multi-core box documents the real scaling.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/micro/bench_parallel.py \
-        [--repeats N] [--threads 1 2 4] [--jobs 1 2]
+        [--repeats N] [--jobs 1 2]
 """
 
 from __future__ import annotations
@@ -23,51 +22,7 @@ import os
 import numpy as np
 
 from bench_kernels import best_of, merge_results
-from repro.buffer.buffer import SyntheticBuffer
-from repro.condensation.one_step import OneStepMatcher
-from repro.nn import ConvNet
-from repro.nn import functional as F
-from repro.nn.tensor import Tensor
-from repro.parallel import intra_op, run_sweep
-
-# Same CIFAR-scale shapes as bench_kernels: 32x32 inputs, width 16, batch 128.
-N, C, HW, OC = 128, 16, 32, 16
-
-
-def make_conv_case(rng: np.random.Generator):
-    x = Tensor(rng.standard_normal((N, C, HW, HW)).astype(np.float32),
-               requires_grad=True)
-    w = Tensor(rng.standard_normal((OC, C, 3, 3)).astype(np.float32),
-               requires_grad=True)
-    b = Tensor(rng.standard_normal((OC,)).astype(np.float32),
-               requires_grad=True)
-    g = np.ones((N, OC, HW, HW), dtype=np.float32)
-
-    def conv_fwd_bwd():
-        out = F.conv2d(x, w, b, stride=1, padding=1)
-        out.backward(g)
-        x.zero_grad(); w.zero_grad(); b.zero_grad()
-
-    return conv_fwd_bwd
-
-
-def make_condense_case(rng: np.random.Generator):
-    buf = SyntheticBuffer(4, 2, (3, 16, 16))
-    buf.images[:] = rng.standard_normal(buf.images.shape).astype(np.float32)
-    real_x = rng.standard_normal((N, 3, 16, 16)).astype(np.float32)
-    real_y = rng.integers(0, 4, N)
-    matcher = OneStepMatcher(iterations=2, alpha=0.1, batch_size=N)
-    factory = lambda r: ConvNet(3, 4, 16, width=32, depth=2, rng=r)
-    deployed = ConvNet(3, 4, 16, width=32, depth=2,
-                       rng=np.random.default_rng(5))
-
-    def condense_segment():
-        matcher.condense(buf, [0, 1, 2, 3], real_x, real_y, None,
-                         model_factory=factory,
-                         rng=np.random.default_rng(1),
-                         deployed_model=deployed)
-
-    return condense_segment
+from repro.parallel import run_sweep
 
 
 def _sweep_task(config, context, arrays):
@@ -78,31 +33,6 @@ def _sweep_task(config, context, arrays):
         m = rng.standard_normal((64, 64))
         acc += m @ m.T
     return float(acc.sum())
-
-
-def bench_intra_op(threads: list[int], repeats: int) -> dict:
-    cases = {"conv_fwd_bwd": make_conv_case(np.random.default_rng(0)),
-             "condense_segment": make_condense_case(np.random.default_rng(0))}
-    saved_threads = intra_op.get_num_threads()
-    saved_threshold = intra_op.shard_threshold()
-    out: dict = {}
-    try:
-        for name, fn in cases.items():
-            entry = {}
-            for t in threads:
-                intra_op.set_num_threads(t)
-                intra_op.set_shard_threshold(16)
-                entry[f"threads={t}"] = best_of(fn, repeats)
-            base = entry.get("threads=1")
-            if base:
-                for t in threads:
-                    entry[f"speedup_{t}"] = base / entry[f"threads={t}"]
-            out[name] = entry
-    finally:
-        intra_op.set_num_threads(saved_threads)
-        intra_op.set_shard_threshold(saved_threshold)
-        intra_op.reset_stats()
-    return out
 
 
 def bench_sweep(jobs: list[int], repeats: int) -> dict:
@@ -125,22 +55,16 @@ def bench_sweep(jobs: list[int], repeats: int) -> dict:
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--threads", type=int, nargs="+", default=[1, 2, 4])
     parser.add_argument("--jobs", type=int, nargs="+", default=[1, 2])
     args = parser.parse_args()
 
     payload = {
         "cpu_count": os.cpu_count(),
-        "intra_op": bench_intra_op(args.threads, args.repeats),
         "sweep": bench_sweep(args.jobs, args.repeats),
     }
     merge_results("parallel_scaling", payload)
 
     print(f"cpu_count: {payload['cpu_count']}")
-    for name, entry in payload["intra_op"].items():
-        times = "  ".join(f"{k}: {v * 1e3:8.2f}ms"
-                          for k, v in entry.items() if k.startswith("threads"))
-        print(f"{name:18s} {times}")
     times = "  ".join(f"{k}: {v * 1e3:8.2f}ms"
                       for k, v in payload["sweep"].items()
                       if k.startswith("jobs"))

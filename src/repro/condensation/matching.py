@@ -140,7 +140,7 @@ def gradient_cosine(g_syn: Sequence[np.ndarray],
 # Module-level bookkeeping for the fused path.  ``_FUSE_VERDICTS`` caches,
 # per (architecture, input shape) signature, whether the fused evaluation
 # reproduced the sequential two-pass bytes on its first use — the same
-# probe-then-trust pattern as ``ConvPlan.shard_safe``, one level up.
+# probe-then-trust pattern as ``ConvPlan.lane_plan``, one level up.
 _FD_STATS = {"fused_dispatches": 0, "serial_fallbacks": 0,
              "verifications": 0, "verification_failures": 0}
 _FUSE_VERDICTS: dict[tuple, bool] = {}
@@ -202,10 +202,7 @@ def _fuse_key(layers, clf, x_shape) -> tuple:
             desc.append(("flat", layer.start_dim))
     desc.append(("linear", clf.out_features, clf.in_features,
                  clf.bias is not None))
-    # The composite col2im / contraction routes are probed per scatter mode;
-    # the whole-evaluation verdict must not outlive a mode switch either.
-    return (tuple(desc), tuple(int(s) for s in x_shape),
-            kernels.scatter_mode())
+    return (tuple(desc), tuple(int(s) for s in x_shape))
 
 
 def _lane_param_sets(params, direction, eps):

@@ -19,7 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels, reference
-from ..parallel import intra_op, tree_reduce
 from .tensor import Tensor
 from .workspace import default_arena, default_step_cache
 
@@ -82,48 +81,20 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     ckk = plan.ckk_safe(oc)
     xd = _f32(x.data)
     w2 = weight.data.reshape(oc, -1)                 # (OC, CKK)
-    bounds = intra_op.shard_bounds(n)
-    if bounds is not None and not plan.shard_safe(oc, ckk, len(bounds)):
-        intra_op.note_serial_fallback("probe")
-        bounds = None
     # A StepCache scope (opened by the condense loop around the Eq. 7
     # passes) serves the same input array's columns to every conv over it;
     # the fill below is identical whichever pass computed them first.
     cache_key = (plan.key, bool(ckk))
     cached6 = default_step_cache.lookup(xd, cache_key)
-    if bounds is None:
-        if cached6 is None:
-            cols6 = kernels.im2col(xd, plan, ckk=ckk)  # arena buffer (N,C,KH,KW,OH,OW)
-        else:
-            cols6 = cached6
-        cols = cols6.reshape(plan.cols_shape)        # (N, CKK, L) view
-        # Seed-exact contraction (including output memory layout — downstream
-        # float32 reductions are layout-sensitive); only the path search is cached.
-        out = np.einsum("ok,nkl->nol", w2, cols,
-                        optimize=plan.fwd_path(w2, cols))
+    if cached6 is None:
+        cols6 = kernels.im2col(xd, plan, ckk=ckk)  # arena buffer (N,C,KH,KW,OH,OW)
     else:
-        cols6 = kernels.alloc_cols(plan, xd.dtype, ckk=ckk) \
-            if cached6 is None else cached6
-        cols = cols6.reshape(plan.cols_shape)
-        # Allocate the contraction output in the exact memory layout the
-        # serial einsum would return (often an (n, l, o)-major transpose):
-        # downstream reductions are layout-sensitive, so matching values is
-        # not enough — the strides must match too.
-        shape3 = (n, oc, plan.oh * plan.ow)
-        order = plan.fwd_out_order(oc, ckk, len(bounds))
-        mem = np.empty(tuple(shape3[i] for i in order), dtype=np.float32)
-        out = mem.transpose(tuple(int(i) for i in np.argsort(order)))
-        fpath = plan.fwd_path(w2, cols)
-        fill = cached6 is None
-
-        def fwd_shard(a: int, b: int) -> None:
-            if fill:
-                kernels.im2col_fill(xd, plan, cols6, a, b,
-                                    intra_op.thread_arena())
-            np.einsum("ok,nkl->nol", w2, cols[a:b], out=out[a:b],
-                      optimize=fpath)
-
-        intra_op.run_sharded(fwd_shard, bounds)
+        cols6 = cached6
+    cols = cols6.reshape(plan.cols_shape)            # (N, CKK, L) view
+    # Seed-exact contraction (including output memory layout — downstream
+    # float32 reductions are layout-sensitive); only the path search is cached.
+    out = np.einsum("ok,nkl->nol", w2, cols,
+                    optimize=plan.fwd_path(w2, cols))
     cache_owned = (cached6 is not None
                    or default_step_cache.store(xd, cache_key, cols6))
     out = out.reshape(n, oc, plan.oh, plan.ow)
@@ -136,62 +107,16 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
 
     def backward(g: np.ndarray) -> None:
         gflat = g.reshape(n, oc, plan.oh * plan.ow)
-        need_db = bias is not None and bias.requires_grad
-        need_dw = weight.requires_grad
-        red = intra_op.shard_bounds(n) if (need_db or need_dw) else None
-        rinfo = (plan.reduce_safe(oc, ckk, len(red), gflat.strides)
-                 if red is not None and gflat.dtype == np.float32 else None)
-        if need_db:
-            if rinfo is not None and rinfo["db"]:
-                db = tree_reduce.tree_reduce(
-                    lambda a, b, out: np.sum(gflat[a:b], axis=(0, 2),
-                                             out=out),
-                    (oc,), np.float32, red, label="conv2d.db")
-            else:
-                if red is not None:
-                    tree_reduce.note_reduce_fallback()
-                db = gflat.sum(axis=(0, 2))
-            bias._accumulate(db, own=True)
-        if need_dw:
-            dpath = plan.dw_path(gflat, cols)
-            if rinfo is not None and rinfo["dw"]:
-                dw = tree_reduce.tree_reduce(
-                    lambda a, b, out: np.einsum(
-                        "nol,nkl->ok", gflat[a:b], cols[a:b], out=out,
-                        optimize=dpath),
-                    (oc, c * kh * kw), np.float32, red,
-                    label="conv2d.dw", order=rinfo["dw_order"])
-            else:
-                if red is not None:
-                    tree_reduce.note_reduce_fallback()
-                dw = np.einsum("nol,nkl->ok", gflat, cols, optimize=dpath)
+        if bias is not None and bias.requires_grad:
+            bias._accumulate(gflat.sum(axis=(0, 2)), own=True)
+        if weight.requires_grad:
+            dw = np.einsum("nol,nkl->ok", gflat, cols,
+                           optimize=plan.dw_path(gflat, cols))
             weight._accumulate(_f32(dw).reshape(weight.shape), own=True)
         if x.requires_grad:
-            bwd_bounds = intra_op.shard_bounds(n)
-            if bwd_bounds is not None and kernels.scatter_mode() != "slices":
-                intra_op.note_serial_fallback("caller")
-                bwd_bounds = None
-            if bwd_bounds is not None and not plan.shard_safe(
-                    oc, ckk, len(bwd_bounds)):
-                intra_op.note_serial_fallback("probe")
-                bwd_bounds = None
-            if bwd_bounds is None:
-                dcols = np.einsum("ok,nol->nkl", w2, gflat,
-                                  optimize=plan.dcols_path(w2, gflat))
-                x._accumulate(kernels.col2im(dcols, plan), own=True)
-            else:
-                dcols = default_arena.acquire(plan.cols_shape, np.float32)
-                dx = np.zeros((n, c, h, w), dtype=np.float32)
-                dpath = plan.dcols_path(w2, gflat)
-
-                def bwd_shard(a: int, b: int) -> None:
-                    np.einsum("ok,nol->nkl", w2, gflat[a:b],
-                              out=dcols[a:b], optimize=dpath)
-                    kernels.col2im_add(dcols, plan, dx, a, b)
-
-                intra_op.run_sharded(bwd_shard, bwd_bounds)
-                default_arena.release(dcols)
-                x._accumulate(dx, own=True)
+            dcols = np.einsum("ok,nol->nkl", w2, gflat,
+                              optimize=plan.dcols_path(w2, gflat))
+            x._accumulate(kernels.col2im(dcols, plan), own=True)
         if not default_step_cache.owns(cols6):
             default_arena.release(cols6)
 
@@ -278,23 +203,7 @@ def _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc):
             else:
                 np.einsum("ok,nol->nkl", w2, gflat, out=slot,
                           optimize=plan.dcols_path(w2, gflat))
-        bounds = intra_op.shard_bounds(nt)
-        if bounds is not None and kernels.scatter_mode() != "slices":
-            intra_op.note_serial_fallback("caller")
-            bounds = None
-        if bounds is None:
-            dx2 = kernels.col2im(dcols2, plan2)
-        else:
-            # The slice-table scatter never touches the batch axis, so
-            # disjoint batch spans compose to exactly the serial col2im
-            # (see kernels.col2im_add); the zeroed canvas matches the
-            # serial one byte-for-byte.
-            dx2 = np.zeros((nt, plan.c, plan.h, plan.w), dtype=np.float32)
-
-            def scatter_shard(a: int, b: int) -> None:
-                kernels.col2im_add(dcols2, plan2, dx2, a, b)
-
-            intra_op.run_sharded(scatter_shard, bounds)
+        dx2 = kernels.col2im(dcols2, plan2)
         default_arena.release(dcols2)
         return dx2
     dx2 = np.empty((nt, plan.c, plan.h, plan.w), dtype=np.float32)
@@ -429,7 +338,7 @@ def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
     lane_ctx = []
     out = None
     for t in range(lanes):
-        xhat, var = _instance_norm_stats(xd[t * n:(t + 1) * n])
+        xhat, var = _norm_stats(xd[t * n:(t + 1) * n], axes)
         inv_std = 1.0 / np.sqrt(var + np.float32(eps))
         xhat *= inv_std
         if out is None:
@@ -470,8 +379,8 @@ def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
         for t, (xhat, inv_std, gamma_r) in enumerate(lane_ctx):
             gl = g[t * n:(t + 1) * n]
             gy = gl * gamma_r if gamma_r is not None else gl
-            _instance_norm_backward_into(gy, xhat, inv_std,
-                                         dx[t * n:(t + 1) * n])
+            _norm_backward_into(gy, xhat, inv_std, axes,
+                                dx[t * n:(t + 1) * n])
         return dx
 
     return out, backward
@@ -519,61 +428,23 @@ def max_pool2d(x: Tensor, kernel_size: int = 2) -> Tensor:
     oh, ow = h // k, w // k
     kk = k * k
     idx_dtype = np.uint8 if kk <= 255 else np.int32
-    bounds = intra_op.shard_bounds(n)
-    if bounds is None:
-        windows = np.ascontiguousarray(
-            x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
-        ).reshape(n, c, oh, ow, kk)
-        idx = windows.argmax(axis=-1)
-        out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
-        # Compact retention: one small integer per output pixel.
-        idx = idx.astype(idx_dtype)
-    else:
-        # Per-window argmax/gather is batch-elementwise, so disjoint batch
-        # spans compose to exactly the serial result.
-        xd = x.data
-        out = np.empty((n, c, oh, ow), dtype=xd.dtype)
-        idx = np.empty((n, c, oh, ow), dtype=idx_dtype)
-
-        def pool_shard(a: int, b: int) -> None:
-            arena = intra_op.thread_arena()
-            win = arena.acquire((b - a, c, oh, ow, kk), xd.dtype)
-            np.copyto(
-                win.reshape(b - a, c, oh, ow, k, k),
-                xd[a:b].reshape(b - a, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5))
-            loc = win.argmax(axis=-1)
-            out[a:b] = np.take_along_axis(win, loc[..., None], axis=-1)[..., 0]
-            idx[a:b] = loc
-            arena.release(win)
-
-        intra_op.run_sharded(pool_shard, bounds)
+    windows = np.ascontiguousarray(
+        x.data.reshape(n, c, oh, k, ow, k).transpose(0, 1, 2, 4, 3, 5)
+    ).reshape(n, c, oh, ow, kk)
+    idx = windows.argmax(axis=-1)
+    out = np.take_along_axis(windows, idx[..., None], axis=-1)[..., 0]
+    # Compact retention: one small integer per output pixel.
+    idx = idx.astype(idx_dtype)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:
             g32 = _f32(np.asarray(g))
-            bwd_bounds = intra_op.shard_bounds(n)
-            if bwd_bounds is None:
-                buf = np.zeros((n, c, oh, ow, kk), dtype=np.float32)
-                np.put_along_axis(buf, idx[..., None].astype(np.int64),
-                                  g32[..., None], axis=-1)
-                grad = np.ascontiguousarray(
-                    buf.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
-                ).reshape(n, c, h, w)
-            else:
-                grad = np.empty((n, c, h, w), dtype=np.float32)
-
-                def pool_bwd_shard(a: int, b: int) -> None:
-                    arena = intra_op.thread_arena()
-                    buf = arena.acquire((b - a, c, oh, ow, kk), np.float32,
-                                        zero=True)
-                    np.put_along_axis(buf, idx[a:b][..., None].astype(np.int64),
-                                      g32[a:b][..., None], axis=-1)
-                    np.copyto(
-                        grad[a:b].reshape(b - a, c, oh, k, ow, k),
-                        buf.reshape(b - a, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5))
-                    arena.release(buf)
-
-                intra_op.run_sharded(pool_bwd_shard, bwd_bounds)
+            buf = np.zeros((n, c, oh, ow, kk), dtype=np.float32)
+            np.put_along_axis(buf, idx[..., None].astype(np.int64),
+                              g32[..., None], axis=-1)
+            grad = np.ascontiguousarray(
+                buf.reshape(n, c, oh, ow, k, k).transpose(0, 1, 2, 4, 3, 5)
+            ).reshape(n, c, h, w)
             x._accumulate(grad, own=True)
 
     return Tensor._make(_f32(out), (x,), "max_pool2d", backward)
@@ -613,117 +484,12 @@ def _norm_stats(x2d: np.ndarray, axes):
     return xc, var
 
 
-def _tree_batch_sum(arr: np.ndarray, axes, label: str,
-                    mul: np.ndarray | None = None) -> np.ndarray | None:
-    """Tree-reduced ``arr.sum(axis=axes)`` / ``(arr * mul).sum(axis=axes)``.
-
-    Returns None when the batch is below the shard threshold, a single
-    thread is configured, or the :func:`~repro.nn.kernels.tree_sum_safe`
-    probe declined the shape (counted via ``parallel.reduce.fallbacks``);
-    the caller then runs the serial reduction, byte-unchanged.
-    """
-    bounds = intra_op.shard_bounds(arr.shape[0])
-    if bounds is None:
-        return None
-    if not kernels.tree_sum_safe(arr, axes, len(bounds), mul):
-        tree_reduce.note_reduce_fallback()
-        return None
-    shape = tuple(s for i, s in enumerate(arr.shape) if i not in axes)
-    if mul is None:
-        def partial(a, b, out):
-            np.sum(arr[a:b], axis=axes, out=out)
-    else:
-        def partial(a, b, out):
-            np.sum(arr[a:b] * mul[a:b], axis=axes, out=out)
-    return tree_reduce.tree_reduce(partial, shape, np.float32, bounds,
-                                   label=label)
-
-
-def _norm_param_grads(g, xhat, beta, gamma, label: str) -> None:
-    """Accumulate dbeta/dgamma for a norm op, tree-reducing when probed
-    safe (the serial sums are the exact pre-engine code paths)."""
+def _norm_param_grads(g, xhat, beta, gamma) -> None:
+    """Accumulate dbeta/dgamma for a norm op."""
     if beta is not None and beta.requires_grad:
-        db = _tree_batch_sum(g, (0, 2, 3), f"{label}.dbeta")
-        beta._accumulate(db if db is not None
-                         else _f32(g.sum(axis=(0, 2, 3))), own=True)
+        beta._accumulate(_f32(g.sum(axis=(0, 2, 3))), own=True)
     if gamma is not None and gamma.requires_grad:
-        dg = _tree_batch_sum(g, (0, 2, 3), f"{label}.dgamma", mul=xhat)
-        gamma._accumulate(dg if dg is not None
-                          else _f32((g * xhat).sum(axis=(0, 2, 3))),
-                          own=True)
-
-
-def _instance_norm_stats(xd: np.ndarray):
-    """:func:`_norm_stats` over axes (2, 3), sharded over disjoint batch
-    spans when configured and probe-proven byte-identical (per-sample
-    reductions never cross a batch boundary; the probe verifies the
-    composite ``out=`` fill reproduces the serial bytes and layout)."""
-    axes = (2, 3)
-    bounds = intra_op.shard_bounds(xd.shape[0])
-    if bounds is not None:
-        info = kernels.norm_stats_shard_safe(xd, len(bounds))
-        if not info["ok"]:
-            intra_op.note_serial_fallback("probe")
-            bounds = None
-    if bounds is None:
-        return _norm_stats(xd, axes)
-    n, c = xd.shape[0], xd.shape[1]
-    xc = kernels._ordered_empty(xd.shape, info["xc_order"])
-    var = kernels._ordered_empty((n, c, 1, 1), info["var_order"])
-
-    def stats_shard(a: int, b: int) -> None:
-        m = xd[a:b].mean(axis=axes, keepdims=True)
-        np.subtract(xd[a:b], m, out=xc[a:b])
-        sq = xc[a:b] * xc[a:b]
-        np.mean(sq, axis=axes, keepdims=True, out=var[a:b])
-
-    intra_op.run_sharded(stats_shard, bounds)
-    return xc, var
-
-
-def _instance_norm_backward(gy, xhat, inv_std) -> np.ndarray:
-    """:func:`_norm_backward` over axes (2, 3), sharded over disjoint
-    batch spans when configured and probe-proven byte-identical."""
-    axes = (2, 3)
-    bounds = intra_op.shard_bounds(gy.shape[0])
-    if bounds is not None:
-        info = kernels.norm_bwd_shard_safe(gy, xhat, inv_std, len(bounds))
-        if not info["ok"]:
-            intra_op.note_serial_fallback("probe")
-            bounds = None
-    if bounds is None:
-        return _norm_backward(gy, xhat, inv_std, axes)
-    dx = kernels._ordered_empty(gy.shape, info["dx_order"])
-
-    def bwd_shard(a: int, b: int) -> None:
-        _norm_backward_into(gy[a:b], xhat[a:b], inv_std[a:b], axes,
-                            dx[a:b])
-
-    intra_op.run_sharded(bwd_shard, bounds)
-    return dx
-
-
-def _instance_norm_backward_into(gy, xhat, inv_std, out) -> None:
-    """:func:`_norm_backward_into` over axes (2, 3), sharded over disjoint
-    batch spans when probe-proven (the destination layout cannot perturb
-    the bytes — see :func:`_norm_backward_into` — so the fresh-layout probe
-    verdict carries over to composite lane slices)."""
-    axes = (2, 3)
-    bounds = intra_op.shard_bounds(gy.shape[0])
-    if bounds is not None:
-        info = kernels.norm_bwd_shard_safe(gy, xhat, inv_std, len(bounds))
-        if not info["ok"]:
-            intra_op.note_serial_fallback("probe")
-            bounds = None
-    if bounds is None:
-        _norm_backward_into(gy, xhat, inv_std, axes, out)
-        return
-
-    def bwd_shard(a: int, b: int) -> None:
-        _norm_backward_into(gy[a:b], xhat[a:b], inv_std[a:b], axes,
-                            out[a:b])
-
-    intra_op.run_sharded(bwd_shard, bounds)
+        gamma._accumulate(_f32((g * xhat).sum(axis=(0, 2, 3))), own=True)
 
 
 def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
@@ -736,7 +502,7 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
     if not kernels.fast_kernels_enabled():
         return reference.instance_norm2d(x, gamma, beta, eps=eps)
     axes = (2, 3)
-    xhat, var = _instance_norm_stats(_f32(x.data))
+    xhat, var = _norm_stats(_f32(x.data), axes)
     inv_std = 1.0 / np.sqrt(var + np.float32(eps))
     xhat *= inv_std
     c = x.shape[1]
@@ -758,10 +524,10 @@ def instance_norm2d(x: Tensor, gamma: Tensor | None = None,
         parents.append(beta)
 
     def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma, "instance_norm")
+        _norm_param_grads(g, xhat, beta, gamma)
         if x.requires_grad:
             gy = g * gamma_r if gamma_r is not None else g
-            x._accumulate(_f32(_instance_norm_backward(gy, xhat, inv_std)),
+            x._accumulate(_f32(_norm_backward(gy, xhat, inv_std, axes)),
                           own=True)
 
     return Tensor._make(_f32(out), parents, "instance_norm2d", backward)
@@ -799,7 +565,7 @@ def group_norm2d(x: Tensor, num_groups: int, gamma: Tensor | None = None,
         parents.append(beta)
 
     def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma, "group_norm")
+        _norm_param_grads(g, xhat, beta, gamma)
         if x.requires_grad:
             gy = g * gamma_r if gamma_r is not None else g
             gyg = gy.reshape(n, num_groups, c // num_groups, h, w)
@@ -837,7 +603,7 @@ def batch_norm2d(x: Tensor, gamma: Tensor | None = None,
         parents.append(beta)
 
     def backward(g: np.ndarray) -> None:
-        _norm_param_grads(g, xhat, beta, gamma, "batch_norm")
+        _norm_param_grads(g, xhat, beta, gamma)
         if x.requires_grad:
             gy = g * gamma_r if gamma_r is not None else g
             x._accumulate(_f32(_norm_backward(gy, xhat, inv_std, axes)), own=True)
@@ -853,30 +619,10 @@ def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
     if not kernels.fast_kernels_enabled():
         return reference.log_softmax(x, axis=axis)
     xd = _f32(x.data)
-    ax = axis if axis >= 0 else xd.ndim + axis
-    bounds = None
-    if ax == xd.ndim - 1 and xd.ndim >= 2 and xd.size >= 32768:
-        # Row-wise over the trailing axis: every batch row reduces
-        # independently, so batch shards reproduce the serial bits.  The
-        # size floor keeps classifier-head-sized inputs off the pool.
-        bounds = intra_op.shard_bounds(xd.shape[0])
-    if bounds is None:
-        out = xd - xd.max(axis=axis, keepdims=True)
-        e = np.exp(out)
-        out -= np.log(e.sum(axis=axis, keepdims=True))
-        softmax_vals = np.exp(out)
-    else:
-        out = np.empty_like(xd)
-        softmax_vals = np.empty_like(xd)
-
-        def ls_shard(a: int, b: int) -> None:
-            o = out[a:b]
-            np.subtract(xd[a:b], xd[a:b].max(axis=-1, keepdims=True), out=o)
-            e = np.exp(o)
-            o -= np.log(e.sum(axis=-1, keepdims=True))
-            np.exp(o, out=softmax_vals[a:b])
-
-        intra_op.run_sharded(ls_shard, bounds)
+    out = xd - xd.max(axis=axis, keepdims=True)
+    e = np.exp(out)
+    out -= np.log(e.sum(axis=axis, keepdims=True))
+    softmax_vals = np.exp(out)
 
     def backward(g: np.ndarray) -> None:
         if x.requires_grad:

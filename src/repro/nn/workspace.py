@@ -86,15 +86,14 @@ class WorkspaceArena:
     def _key(shape: tuple[int, ...], dtype) -> tuple:
         return (tuple(int(s) for s in shape), np.dtype(dtype).str)
 
-    def acquire(self, shape: tuple[int, ...], dtype=np.float32, *,
-                zero: bool = False) -> np.ndarray:
+    def acquire(self, shape: tuple[int, ...], dtype=np.float32) -> np.ndarray:
         """Return a contiguous buffer of ``shape``/``dtype``.
 
-        The contents are uninitialized unless ``zero=True``.  The caller owns
-        the buffer until it hands it back via :meth:`release` (optional).
+        The contents are uninitialized.  The caller owns the buffer until it
+        hands it back via :meth:`release` (optional).
         """
         if not self.enabled:
-            return np.zeros(shape, dtype=dtype) if zero else np.empty(shape, dtype=dtype)
+            return np.empty(shape, dtype=dtype)
         key = self._key(shape, dtype)
         nbytes = int(np.prod(key[0], dtype=np.int64)) * np.dtype(dtype).itemsize
         buf = None
@@ -110,8 +109,6 @@ class WorkspaceArena:
             self.borrowed_bytes += nbytes
         if buf is None:
             buf = np.empty(shape, dtype=dtype)
-        if zero:
-            buf.fill(0)
         return buf
 
     def release(self, buf: np.ndarray) -> None:
@@ -218,8 +215,7 @@ class StepCache:
       boundaries, after the backward passes consuming the cached columns
       have run.
     * Main-thread only: the condense drivers open scopes and run conv
-      forwards on the main thread (intra-op workers only execute shard
-      bodies handed to them).
+      forwards on the main thread.
     """
 
     def __init__(self, arena: WorkspaceArena | None = None) -> None:

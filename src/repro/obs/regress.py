@@ -8,11 +8,11 @@ slower.  This module adds the missing time axis:
   **append-only history** (``bench_results/bench_history.jsonl``) holding
   the run's flat metrics (seconds per benchmark, plus peak-memory byte
   gauges from the condense-step bench) and tags identifying
-  the measurement context (platform, numpy, cpu count, intra-op threads);
+  the measurement context (platform, numpy, cpu count);
 * :func:`compare_history` judges the newest value of every metric against
   a **trailing baseline** — the median of up to the prior ``window``
-  entries whose tags match on the configured keys (different machines or
-  thread counts never pollute each other's baselines) — and flags any
+  entries whose tags match on the configured keys (different machines
+  never pollute each other's baselines) — and flags any
   metric slower than ``baseline * (1 + threshold)``;
 * ``python -m repro obs regress`` renders the verdict table and exits
   non-zero on regressions (``--dry-run`` reports without failing), which
@@ -56,7 +56,7 @@ __all__ = [
 HISTORY_FILENAME = "bench_history.jsonl"
 DEFAULT_WINDOW = 5
 DEFAULT_THRESHOLD = 0.20
-DEFAULT_MATCH_TAGS = ("platform", "threads")
+DEFAULT_MATCH_TAGS = ("platform",)
 
 
 def default_history_path() -> pathlib.Path:
@@ -83,8 +83,7 @@ def metrics_from_snapshot(data: Mapping[str, Any],
     """Flatten a ``micro_kernels.json`` snapshot into ``name -> seconds``.
 
     Names are path-like and stable: ``kernels/conv2d_fwd``,
-    ``condense_step``, ``parallel/conv_fwd_bwd/threads=4``,
-    ``parallel/sweep/jobs=2``.
+    ``condense_step``, ``parallel/sweep/jobs=2``.
     """
     metrics: dict[str, float] = {}
 
@@ -108,24 +107,9 @@ def metrics_from_snapshot(data: Mapping[str, Any],
                 metrics[f"condense_step/{key}"] = float(condense[key])
     scaling = data.get("parallel_scaling") or {}
     if want("parallel_scaling"):
-        for case, entry in (scaling.get("intra_op") or {}).items():
-            for key, value in entry.items():
-                if key.startswith("threads="):
-                    metrics[f"parallel/{case}/{key}"] = float(value)
         for key, value in (scaling.get("sweep") or {}).items():
             if key.startswith("jobs="):
                 metrics[f"parallel/sweep/{key}"] = float(value)
-    reduce_ = data.get("reduce") or {}
-    if want("reduce"):
-        # Tree-reduction engine: the tree path's seconds are the
-        # regression target; the serial reference rides along so a rot in
-        # the fallback reduction is caught too.
-        for case, row in (reduce_.get("cases") or {}).items():
-            if isinstance(row, Mapping):
-                if "tree_s" in row:
-                    metrics[f"reduce/{case}"] = float(row["tree_s"])
-                if "serial_s" in row:
-                    metrics[f"reduce/{case}/serial"] = float(row["serial_s"])
     factorized = data.get("factorized") or {}
     if want("factorized"):
         # Factorized condensed storage: accuracy-per-byte is the paper's
@@ -194,7 +178,6 @@ def seed_history_from_snapshot(snapshot_path: str | os.PathLike,
     meta = data.get("meta") or {}
     base_tags = {"platform": meta.get("platform", "unknown"),
                  "numpy": meta.get("numpy", "unknown"),
-                 "threads": 1,
                  "cpu_count": (data.get("parallel_scaling") or {}
                                ).get("cpu_count", os.cpu_count())}
     base_tags.update(tags or {})

@@ -41,7 +41,6 @@ def _conv_case(rng, n, c, h, w, oc, k, stride, pad, *, bias=True, fast=True):
 def _restore_kernel_state():
     yield
     kernels.set_fast_kernels(True)
-    kernels.set_scatter_mode("slices")
 
 
 CONV_GRID = [
@@ -58,15 +57,6 @@ CONV_GRID = [
 class TestConvEquivalence:
     @pytest.mark.parametrize("case", CONV_GRID)
     def test_fast_matches_seed(self, rng, case):
-        seed = rng.integers(0, 2**31)
-        fast = _conv_case(np.random.default_rng(seed), *case, fast=True)
-        ref = _conv_case(np.random.default_rng(seed), *case, fast=False)
-        for got, want in zip(fast, ref):
-            np.testing.assert_allclose(got, want, **TOL)
-
-    @pytest.mark.parametrize("case", CONV_GRID[:3])
-    def test_bincount_scatter_matches_seed(self, rng, case):
-        kernels.set_scatter_mode("bincount")
         seed = rng.integers(0, 2**31)
         fast = _conv_case(np.random.default_rng(seed), *case, fast=True)
         ref = _conv_case(np.random.default_rng(seed), *case, fast=False)

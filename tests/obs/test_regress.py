@@ -11,7 +11,7 @@ from repro.obs import (append_history, check_regressions, compare_history,
                        metrics_from_snapshot, seed_history_from_snapshot)
 from repro.obs.regress import DEFAULT_THRESHOLD, HISTORY_FILENAME
 
-TAGS = {"platform": "test-box", "threads": 1}
+TAGS = {"platform": "test-box"}
 
 
 def entry(metrics, tags=TAGS):
@@ -69,7 +69,7 @@ class TestCompare:
         assert delta.verdict == "regression"
 
     def test_mismatched_tags_do_not_pollute_baseline(self):
-        other = {"platform": "other-box", "threads": 8}
+        other = {"platform": "other-box"}
         entries = (history([0.1, 0.1], tags=other)  # fast foreign machine
                    + history([1.0, 1.0, 1.05]))
         report = compare_history(entries)
@@ -78,6 +78,17 @@ class TestCompare:
         # whereas mixing in the 0.1s would have flagged it.
         assert delta.baseline == pytest.approx(1.0)
         assert delta.verdict == "ok"
+
+    def test_legacy_threads_tag_still_serves_as_baseline(self):
+        # History written before the thread-count tag was dropped must keep
+        # serving as the baseline for new lines that carry no such tag.
+        legacy = {"platform": "test-box", "threads": 1}
+        entries = history([1.0, 1.0], tags=legacy) + history([1.3])
+        report = compare_history(entries)
+        (delta,) = report.deltas
+        assert delta.samples == 2
+        assert delta.baseline == pytest.approx(1.0)
+        assert delta.verdict == "regression"
 
     def test_metric_missing_from_newest_entry_still_judged(self):
         entries = history([1.0, 1.0, 1.3]) + [entry({"kernels/other": 2.0})]
@@ -124,8 +135,6 @@ class TestHistoryFile:
                                                  "seed_s": 0.05}}},
             "condense_step": {"fast_s": 0.2},
             "parallel_scaling": {"cpu_count": 4,
-                                 "intra_op": {"conv": {"threads=1": 0.3,
-                                                       "threads=4": 0.1}},
                                  "sweep": {"jobs=2": 1.5}},
         }
         snap_path = tmp_path / "micro_kernels.json"
@@ -138,9 +147,8 @@ class TestHistoryFile:
         assert skipped == 0
         all_metrics = {name for e in loaded for name in e["metrics"]}
         assert all_metrics == {"kernels/conv2d_fwd", "condense_step",
-                               "parallel/conv/threads=1",
-                               "parallel/conv/threads=4",
                                "parallel/sweep/jobs=2"}
+        assert all("threads" not in e["tags"] for e in loaded)
 
     def test_real_repo_history_passes(self):
         # The committed seed history must never itself flag a regression.

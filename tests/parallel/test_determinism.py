@@ -1,13 +1,10 @@
-"""Bit-identity guarantees: parallel execution must never change results.
+"""Bit-identity guarantees: the same seed always gives the same bytes.
 
-Covers both layers:
-
-* Layer 1 — micro-kernel assertions that conv2d forward/backward, max-pool
-  forward/backward, and log-softmax produce bit-identical tensors and
-  gradients with 1 vs 4 intra-op threads, plus a seeded end-to-end
-  ``DECOLearner`` run (via ``run_method``) under both settings.
-* Layer 2 — a grid fanned out to worker processes returns results
-  bit-identical to the serial loop, in the same order.
+* A seeded training step (conv + instance-norm + cross-entropy) and a
+  seeded end-to-end ``DECOLearner`` run (via ``run_method``) reproduce
+  their results byte-for-byte when run twice in one process.
+* A grid fanned out to worker processes returns results bit-identical to
+  the serial loop, in the same order.
 """
 
 from __future__ import annotations
@@ -15,119 +12,45 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import pytest
 
 from repro.experiments import prepare_experiment, run_method, run_method_grid
 from repro.nn import functional as F
-from repro.nn import kernels
+from repro.nn.losses import cross_entropy
 from repro.nn.tensor import Tensor
-from repro.parallel import intra_op
-
-
-@pytest.fixture(autouse=True)
-def _restore_config():
-    threads = intra_op.get_num_threads()
-    threshold = intra_op.shard_threshold()
-    yield
-    intra_op.set_num_threads(threads)
-    intra_op.set_shard_threshold(threshold)
-    intra_op.reset_stats()
-
-
-def _serial():
-    intra_op.set_num_threads(1)
-
-
-def _parallel(threshold: int = 8):
-    intra_op.set_num_threads(4)
-    intra_op.set_shard_threshold(threshold)
 
 
 # ----------------------------------------------------------------------
-# Layer 1: micro-kernels
+# Same-seed repeatability
 # ----------------------------------------------------------------------
-def _conv_case(batch):
-    rng = np.random.default_rng(3)
-    x = Tensor(rng.standard_normal((batch, 3, 16, 16)).astype(np.float32),
+def _training_step(batch):
+    """Conv + instance-norm + cross-entropy; returns every gradient."""
+    rng = np.random.default_rng(11)
+    x = Tensor(rng.standard_normal((batch, 3, 8, 8)).astype(np.float32),
                requires_grad=True)
-    w = Tensor(rng.standard_normal((12, 3, 3, 3)).astype(np.float32),
+    w = Tensor(rng.standard_normal((8, 3, 3, 3)).astype(np.float32) * 0.1,
                requires_grad=True)
-    b = Tensor(rng.standard_normal((12,)).astype(np.float32),
-               requires_grad=True)
+    b = Tensor(np.zeros(8, np.float32), requires_grad=True)
+    gamma = Tensor(np.ones(8, np.float32), requires_grad=True)
+    beta = Tensor(np.zeros(8, np.float32), requires_grad=True)
+    proj = Tensor(rng.standard_normal((8 * 8 * 8, 10)).astype(np.float32)
+                  * 0.01)
     out = F.conv2d(x, w, b, stride=1, padding=1)
-    out.sum().backward()
-    return out.data.copy(), x.grad.copy(), w.grad.copy(), b.grad.copy()
+    out = F.instance_norm2d(out, gamma, beta)
+    logits = out.reshape(batch, -1).matmul(proj)
+    loss = cross_entropy(logits, rng.integers(0, 10, batch))
+    loss.backward()
+    return {"loss": loss.data.copy(), "dx": x.grad.copy(),
+            "dw": w.grad.copy(), "db": b.grad.copy(),
+            "dgamma": gamma.grad.copy(), "dbeta": beta.grad.copy()}
 
 
-def test_conv2d_bit_identical_across_thread_counts():
-    _serial()
-    serial = _conv_case(64)
-    _parallel()
-    intra_op.reset_stats()
-    parallel = _conv_case(64)
-    assert intra_op.stats()["sharded_calls"] >= 2  # forward and backward
-    for s, p in zip(serial, parallel):
-        np.testing.assert_array_equal(s, p)
+def test_training_step_stable_across_repeated_runs():
+    first = _training_step(512)
+    second = _training_step(512)
+    for name, ref in first.items():
+        assert ref.tobytes() == second[name].tobytes(), name
 
 
-def test_small_batches_never_dispatch_to_the_pool():
-    _parallel(threshold=32)
-    intra_op.reset_stats()
-    _conv_case(16)  # 16 < 2 * 32: must stay on the serial fast path
-    assert intra_op.stats()["sharded_calls"] == 0
-
-
-def test_max_pool_bit_identical_across_thread_counts():
-    rng = np.random.default_rng(4)
-    data = rng.standard_normal((64, 8, 16, 16)).astype(np.float32)
-    g = rng.standard_normal((64, 8, 8, 8)).astype(np.float32)
-
-    def run():
-        x = Tensor(data.copy(), requires_grad=True)
-        out = F.max_pool2d(x, 2)
-        (out * Tensor(g)).sum().backward()
-        return out.data.copy(), x.grad.copy()
-
-    _serial()
-    s_out, s_grad = run()
-    _parallel()
-    p_out, p_grad = run()
-    np.testing.assert_array_equal(s_out, p_out)
-    np.testing.assert_array_equal(s_grad, p_grad)
-
-
-def test_log_softmax_bit_identical_across_thread_counts():
-    rng = np.random.default_rng(5)
-    data = rng.standard_normal((256, 256)).astype(np.float32)
-
-    def run():
-        x = Tensor(data.copy(), requires_grad=True)
-        out = F.log_softmax(x)
-        out.sum().backward()
-        return out.data.copy(), x.grad.copy()
-
-    _serial()
-    s_out, s_grad = run()
-    _parallel(threshold=8)
-    p_out, p_grad = run()
-    np.testing.assert_array_equal(s_out, p_out)
-    np.testing.assert_array_equal(s_grad, p_grad)
-
-
-def test_bincount_scatter_mode_falls_back_to_serial_backward():
-    _parallel()
-    kernels.set_scatter_mode("bincount")
-    try:
-        intra_op.reset_stats()
-        _conv_case(64)
-        assert intra_op.stats()["serial_fallbacks"] >= 1
-    finally:
-        kernels.set_scatter_mode("slices")
-
-
-# ----------------------------------------------------------------------
-# Layer 1: seeded end-to-end learner run
-# ----------------------------------------------------------------------
 def _norm(v):
     # NaN-safe: vote_margin / retained_label_accuracy are NaN on some
     # segments, and NaN != NaN would make every fingerprint unequal.
@@ -142,17 +65,15 @@ def _history_fingerprint(result):
              for d in result.history.diagnostics])
 
 
-def test_deco_learner_run_bit_identical_across_thread_counts():
+def test_deco_learner_run_stable_across_repeated_runs():
     prepared = prepare_experiment("core50", "micro", seed=0)
-    _serial()
-    serial = run_method(prepared, "deco", 1, seed=0)
-    _parallel(threshold=4)
-    parallel = run_method(prepared, "deco", 1, seed=0)
-    assert _history_fingerprint(serial) == _history_fingerprint(parallel)
+    first = run_method(prepared, "deco", 1, seed=0)
+    second = run_method(prepared, "deco", 1, seed=0)
+    assert _history_fingerprint(first) == _history_fingerprint(second)
 
 
 # ----------------------------------------------------------------------
-# Layer 2: process sweep vs serial loop
+# Process sweep vs serial loop
 # ----------------------------------------------------------------------
 def test_method_grid_bit_identical_serial_vs_processes():
     prepared = prepare_experiment("core50", "micro", seed=0)

@@ -11,7 +11,6 @@ Run just these with ``pytest -m perf_smoke``.
 
 from __future__ import annotations
 
-import os
 import time
 
 import numpy as np
@@ -25,7 +24,6 @@ from repro.nn import kernels
 from repro.nn.convnet import ConvNet
 from repro.nn.tensor import Tensor
 from repro.obs import ListSink
-from repro.parallel import intra_op
 
 
 def _timed(fn):
@@ -203,66 +201,3 @@ def test_ledger_tracking_overhead_is_small():
         f"ledger tracking overhead too high: tracked {tracked * 1e3:.1f}ms "
         f"vs untracked {untracked * 1e3:.1f}ms")
 
-
-def _condense_segment(batch=128, image=16, width=32):
-    """A condense-sized workload big enough for the shard threshold."""
-    rng = np.random.default_rng(0)
-    buf = SyntheticBuffer(4, 2, (3, image, image))
-    buf.images[:] = rng.standard_normal(buf.images.shape).astype(np.float32)
-    real_x = rng.standard_normal((batch, 3, image, image)).astype(np.float32)
-    real_y = rng.integers(0, 4, batch)
-    matcher = OneStepMatcher(iterations=2, alpha=0.1, batch_size=batch)
-    factory = lambda r: ConvNet(3, 4, image, width=width, depth=2, rng=r)
-    deployed = ConvNet(3, 4, image, width=width, depth=2,
-                       rng=np.random.default_rng(5))
-
-    def segment():
-        matcher.condense(buf, [0, 1, 2, 3], real_x, real_y, None,
-                         model_factory=factory,
-                         rng=np.random.default_rng(1),
-                         deployed_model=deployed)
-
-    return segment
-
-
-@pytest.mark.perf_smoke
-def test_serial_mode_never_touches_the_shard_pool():
-    """With one thread (the default) the parallel layer must stay entirely
-    out of the way: zero sharded dispatches, zero pool threads woken."""
-    segment = _condense_segment(batch=64, image=8, width=8)
-    threads = intra_op.get_num_threads()
-    try:
-        intra_op.set_num_threads(1)
-        intra_op.reset_stats()
-        segment()
-        stats = intra_op.stats()
-    finally:
-        intra_op.set_num_threads(threads)
-        intra_op.reset_stats()
-    assert stats["sharded_calls"] == 0
-    assert stats["shards_dispatched"] == 0
-
-
-@pytest.mark.perf_smoke
-@pytest.mark.skipif((os.cpu_count() or 1) < 4,
-                    reason="scaling tripwire needs >= 4 cores")
-def test_sharded_condense_segment_scales_on_multicore():
-    """On a >= 4-core machine, 4 intra-op threads must beat serial by at
-    least 1.3x on a condense-sized segment (the ISSUE's scaling tripwire).
-    Skipped on smaller machines where the pool cannot physically win."""
-    segment = _condense_segment()
-    threads = intra_op.get_num_threads()
-    threshold = intra_op.shard_threshold()
-    try:
-        intra_op.set_num_threads(1)
-        serial = _best_of(segment)
-        intra_op.set_num_threads(4)
-        intra_op.set_shard_threshold(16)
-        parallel = _best_of(segment)
-    finally:
-        intra_op.set_num_threads(threads)
-        intra_op.set_shard_threshold(threshold)
-        intra_op.reset_stats()
-    assert parallel * 1.3 <= serial, (
-        f"parallel condense segment did not scale: {parallel * 1e3:.1f}ms "
-        f"with 4 threads vs {serial * 1e3:.1f}ms serial")
