@@ -133,10 +133,8 @@ class DCMatcher(CondensationMethod):
                     stats.matching_loss += distance
                     stats.iterations += 1
                     # g_real, g_syn, grad_{g_syn}D, plus the FD evaluations
-                    # that actually ran (2 sequential, 1 fused, 0 zero-norm).
+                    # that actually ran (2, or 0 for a zero-norm direction).
                     stats.forward_backward_passes += 3 + fd_stats.get("passes", 2)
-                    if fd_stats.get("fused"):
-                        stats.extra["fused"] = stats.extra.get("fused", 0) + 1
                 syn_pixels.grad = grad
                 syn_optimizer.step()
                 syn_optimizer.zero_grad()

@@ -21,14 +21,11 @@ import numpy as np
 
 from .. import obs
 from ..data.transforms import AugmentationParams, apply_augmentation
-from ..nn import functional as F
 from ..nn import kernels
-from ..nn.convnet import ConvNet
-from ..nn.layers import (AvgPool2d, Conv2d, Flatten, InstanceNorm2d, Linear,
-                         Module, ReLU, frozen_parameters)
+from ..nn.layers import Module, frozen_parameters
 from ..nn.losses import cross_entropy, gradient_distance
 from ..nn.tensor import Tensor
-from ..nn.workspace import default_arena, default_step_cache
+from ..nn.workspace import default_arena
 
 __all__ = [
     "parameter_gradients",
@@ -36,9 +33,7 @@ __all__ = [
     "distance_and_grad_wrt_gsyn",
     "finite_difference_matching_grad",
     "gradient_cosine",
-    "fd_fuse_stats",
-    "reset_fd_fuse_stats",
-    "clear_fd_fuse_verdicts",
+    "fd_stats",
     "EPSILON_NUMERATOR",
 ]
 
@@ -135,185 +130,22 @@ def gradient_cosine(g_syn: Sequence[np.ndarray],
 
 
 # ----------------------------------------------------------------------
-# Fused ±ε evaluation
+# Finite-difference evaluation (Eq. 7)
 # ----------------------------------------------------------------------
-# Module-level bookkeeping for the fused path.  ``_FUSE_VERDICTS`` caches,
-# per (architecture, input shape) signature, whether the fused evaluation
-# reproduced the sequential two-pass bytes on its first use — the same
-# probe-then-trust pattern as ``ConvPlan.lane_plan``, one level up.
-_FD_STATS = {"fused_dispatches": 0, "serial_fallbacks": 0,
-             "verifications": 0, "verification_failures": 0}
-_FUSE_VERDICTS: dict[tuple, bool] = {}
-
-#: Layer types the lane-grouped evaluator knows how to batch-stack (the
-#: ConvNet backbone's exact vocabulary — anything else falls back serial).
-_LANE_LAYERS = (Conv2d, InstanceNorm2d, ReLU, AvgPool2d, Flatten)
+# One count per two-pass ±ε evaluation, under the name the benchmark's
+# pass check (``perfbench/measure.check_pass``) reads as two passes each.
+_FD_STATS = {"serial_fallbacks": 0}
 
 
-def fd_fuse_stats() -> dict[str, int]:
-    """Module-level fused-FD counters (pulled as gauges by the telemetry
-    layer; the live obs counters are emitted at dispatch time)."""
+def fd_stats() -> dict[str, int]:
+    """Module-level FD counters (pulled as gauges by the telemetry layer;
+    the live obs counter is emitted at evaluation time)."""
     return dict(_FD_STATS)
-
-
-def reset_fd_fuse_stats() -> None:
-    for key in _FD_STATS:
-        _FD_STATS[key] = 0
-
-
-def clear_fd_fuse_verdicts() -> None:
-    """Forget cached first-use verdicts (tests only — forces re-probing)."""
-    _FUSE_VERDICTS.clear()
-
-
-def _fuse_layout(model: Module):
-    """``(encoder_layers, classifier)`` when ``model`` has the ConvNet
-    structure the lane evaluator supports, else ``None``."""
-    if not isinstance(model, ConvNet):
-        return None
-    layers = list(model.encoder)
-    if not layers or not isinstance(layers[0], Conv2d):
-        return None
-    for layer in layers:
-        if not isinstance(layer, _LANE_LAYERS):
-            return None
-    clf = model.classifier
-    if not isinstance(clf, Linear):
-        return None
-    return layers, clf
-
-
-def _fuse_key(layers, clf, x_shape) -> tuple:
-    """Structural signature the first-use verification verdict is cached by."""
-    desc = []
-    for layer in layers:
-        if isinstance(layer, Conv2d):
-            desc.append(("conv", layer.out_channels, layer.in_channels,
-                         layer.kernel_size, layer.stride, layer.padding,
-                         layer.bias is not None))
-        elif isinstance(layer, InstanceNorm2d):
-            desc.append(("inorm", layer.num_channels, float(layer.eps),
-                         layer.gamma is not None, layer.beta is not None))
-        elif isinstance(layer, ReLU):
-            desc.append(("relu",))
-        elif isinstance(layer, AvgPool2d):
-            desc.append(("avg", layer.kernel_size))
-        else:  # Flatten
-            desc.append(("flat", layer.start_dim))
-    desc.append(("linear", clf.out_features, clf.in_features,
-                 clf.bias is not None))
-    return (tuple(desc), tuple(int(s) for s in x_shape))
-
-
-def _lane_param_sets(params, direction, eps):
-    """The +ε / −ε parameter arrays, computed with the exact operations the
-    sequential path uses (``eps*d + orig`` and ``orig - eps*d``)."""
-    plus, minus = [], []
-    for p, d in zip(params, direction):
-        orig = p.data
-        pd = np.multiply(d, eps)
-        plus.append(pd + orig)
-        minus.append(np.subtract(orig, pd))
-    return plus, minus
-
-
-def _fused_input_gradients(layers, clf, syn_x, syn_y, plus, minus, index_of):
-    """Both perturbed input-gradient passes as one grouped forward/backward.
-
-    Lane 0 (+ε) occupies composite batch rows ``[0, n)``, lane 1 (−ε) rows
-    ``[n, 2n)``.  The first conv shares one im2col of ``syn_x`` between the
-    lanes (and, via the StepCache, with ``pass.g_syn``); the classifier tail
-    runs per lane so each loss graph matches the sequential one node for
-    node.  Raises :class:`~repro.nn.functional.FusedPathUnavailable` when
-    the composite layout cannot reproduce the serial bytes for this shape.
-    """
-    n = syn_x.shape[0]
-    lanes = (plus, minus)
-
-    first = layers[0]
-    w_first = [lane[index_of[id(first.weight)]] for lane in lanes]
-    b_first = ([lane[index_of[id(first.bias)]] for lane in lanes]
-               if first.bias is not None else [None, None])
-    h, first_backward = F.conv2d_lanes_shared(
-        syn_x, w_first, b_first, stride=first.stride, padding=first.padding)
-    # Hand-chained closures instead of a Tensor graph: the encoder is a
-    # straight line, so topological bookkeeping and gradient accumulation
-    # buy nothing here — each op returns its ndarray and a backward closure
-    # computing exactly the bytes the Tensor op's backward would.
-    bwds = []
-    for layer in layers[1:]:
-        if isinstance(layer, Conv2d):
-            ws = [lane[index_of[id(layer.weight)]] for lane in lanes]
-            bs = ([lane[index_of[id(layer.bias)]] for lane in lanes]
-                  if layer.bias is not None else [None, None])
-            h, bwd = F.conv2d_lanes(h, ws, bs, stride=layer.stride,
-                                    padding=layer.padding)
-        elif isinstance(layer, InstanceNorm2d):
-            gs = ([lane[index_of[id(layer.gamma)]] for lane in lanes]
-                  if layer.gamma is not None else [None, None])
-            bs = ([lane[index_of[id(layer.beta)]] for lane in lanes]
-                  if layer.beta is not None else [None, None])
-            h, bwd = F.instance_norm2d_lanes(h, gs, bs, eps=layer.eps)
-        elif isinstance(layer, ReLU):
-            src = h
-            h = np.maximum(src, 0.0)
-            bwd = (lambda g, src=src: g * (src > 0))
-        elif isinstance(layer, AvgPool2d):
-            k = int(layer.kernel_size)
-            nt, c, hh, ww = h.shape
-            oh, ow = hh // k, ww // k
-            h = h.reshape(nt, c, oh, k, ow, k).mean(axis=(3, 5))
-
-            def bwd(g, k=k, nt=nt, c=c, oh=oh, ow=ow, hh=hh, ww=ww):
-                scaled = g * np.float32(1.0 / (k * k))
-                return np.broadcast_to(
-                    scaled[:, :, :, None, :, None],
-                    (nt, c, oh, k, ow, k)).reshape(nt, c, hh, ww)
-        else:  # Flatten
-            shape = h.shape
-            h = h.reshape(shape[:layer.start_dim] + (-1,))
-            bwd = (lambda g, shape=shape: g.reshape(shape))
-        bwds.append(bwd)
-
-    # Classifier tail per lane, replicated in closed form: linear →
-    # log-softmax → mean NLL, with each ufunc written exactly as the
-    # Tensor ops compute it (same operand views, same in-place updates,
-    # same float32 scalars) so the feature gradient is bit-identical to
-    # ``loss.backward()`` on the sequential graph.
-    feats = h
-    labels = np.asarray(syn_y, dtype=np.int64)
-    rows = np.arange(n)
-    # d(mean NLL)/d(picked log-prob): backward seeds with ones, the mean
-    # multiplies by float32(1/n), the negation flips it.
-    neg_inv = -(np.float32(1.0) * np.float32(1.0 / n))
-    seeds = []
-    for t, lane in enumerate(lanes):
-        f_l = feats[t * n:(t + 1) * n]
-        w = lane[index_of[id(clf.weight)]]
-        logits = f_l @ w.T
-        if clf.bias is not None:
-            logits = logits + lane[index_of[id(clf.bias)]]
-        # log_softmax fast path (forward), keeping softmax for backward.
-        out = logits - logits.max(axis=1, keepdims=True)
-        e = np.exp(out)
-        out -= np.log(e.sum(axis=1, keepdims=True))
-        softmax_vals = np.exp(out)
-        # Backward: scatter -1/n into the picked entries, then the
-        # log-softmax and matmul gradients.
-        g_lp = np.zeros_like(out)
-        g_lp[rows, labels] = neg_inv
-        g_logits = g_lp - softmax_vals * g_lp.sum(axis=1, keepdims=True)
-        seeds.append(g_logits @ w)
-    g = np.concatenate(seeds, axis=0)
-    for bwd in reversed(bwds):
-        g = bwd(g)
-    dx2 = first_backward(g)
-    return dx2[:n], dx2[n:]
 
 
 def _serial_fd_passes(model, params, syn_x, syn_y, direction, eps,
                       augmentation):
-    """The sequential two-pass evaluation (the pre-fusion code path).
+    """The two perturbed input-gradient passes of Eq. (7), in sequence.
 
     The perturbed passes never mutate parameter arrays in place (they only
     rebind ``p.data``), so the current arrays themselves are the exact
@@ -360,19 +192,13 @@ def finite_difference_matching_grad(model: Module, syn_x: np.ndarray,
     Shifts the model parameters by ``±eps * direction`` where ``direction``
     is ``grad_{g_syn} D`` and ``eps = epsilon_numerator / ||direction||_2``,
     and differences the resulting input gradients.  The model parameters
-    are restored exactly afterwards.
+    are restored exactly afterwards.  Each two-pass evaluation counts once
+    in ``fd.serial_fallbacks``.
 
-    When the fused path is enabled (``REPRO_FD_FUSE``, fast kernels, no
-    augmentation) and the model has the supported ConvNet structure, both
-    perturbed passes run as one batch-stacked forward/backward.  The first
-    fused-eligible call per (architecture, shape) signature evaluates both
-    paths and byte-compares them; a mismatch pins that signature to the
-    sequential path permanently (``fd.serial_fallbacks``), a match lets
-    subsequent calls dispatch fused directly (``fd.fused_dispatches``).
-
-    ``stats_out``, when given, receives ``{"passes": 0|1|2, "fused": bool}``
-    — the number of forward/backward evaluations that actually ran, for the
-    condense drivers' derived pass accounting.
+    ``stats_out``, when given, receives ``{"passes": 0|2}`` — the number of
+    forward/backward evaluations that actually ran (0 when the direction
+    norm is zero, or non-finite under the skip-step health policy), for the
+    condense drivers' pass accounting.
     """
     with obs.span("pass.fd_total"):
         return _fd_matching_grad(model, syn_x, syn_y, direction,
@@ -387,92 +213,20 @@ def _fd_matching_grad(model, syn_x, syn_y, direction, *, augmentation,
     if len(params) != len(direction):
         raise ValueError("direction list does not match model parameters")
     norm = float(np.sqrt(sum(float((d ** 2).sum()) for d in direction)))
-    if not obs.get_monitor().check("fd.direction_norm", norm):
-        # skip-step: a non-finite direction cannot produce a usable FD
-        # step; hand back a zero matching gradient (like the norm == 0
-        # case) so the caller's update stays finite.  Under ``record``
-        # the check returns True and the bytes below are unchanged.
+    # skip-step: a non-finite direction cannot produce a usable FD step;
+    # hand back a zero matching gradient (like the norm == 0 case) so the
+    # caller's update stays finite.  Under ``record`` the check returns
+    # True and the bytes below are unchanged.
+    if not obs.get_monitor().check("fd.direction_norm", norm) or norm == 0.0:
         if stats_out is not None:
             stats_out["passes"] = 0
-            stats_out["fused"] = False
-        return np.zeros_like(np.asarray(syn_x, dtype=np.float32))
-    if norm == 0.0:
-        if stats_out is not None:
-            stats_out["passes"] = 0
-            stats_out["fused"] = False
         return np.zeros_like(np.asarray(syn_x, dtype=np.float32))
     eps = epsilon_numerator / norm
-    syn_x32 = np.asarray(syn_x, dtype=np.float32)
-
-    fuse_eligible = (augmentation is None and kernels.fast_kernels_enabled()
-                     and kernels.fd_fuse_enabled())
-    layout = _fuse_layout(model) if fuse_eligible else None
-    fused = False
-    if layout is None:
-        grad_plus, grad_minus = _serial_fd_passes(
-            model, params, syn_x32, syn_y, direction, eps, augmentation)
-        if kernels.fd_fuse_enabled() and kernels.fast_kernels_enabled():
-            _FD_STATS["serial_fallbacks"] += 1
-            obs.counter("fd.serial_fallbacks")
-    else:
-        layers, clf = layout
-        key = _fuse_key(layers, clf, syn_x32.shape)
-        verdict = _FUSE_VERDICTS.get(key)
-        index_of = {id(p): i for i, p in enumerate(params)}
-        with default_step_cache.scope(syn_x32):
-            if verdict is None:
-                # First use for this signature: run both paths and demand
-                # byte identity before trusting the fused one.
-                _FD_STATS["verifications"] += 1
-                plus, minus = _lane_param_sets(params, direction, eps)
-                try:
-                    with obs.span("pass.fd_fused"):
-                        fused_pm = _fused_input_gradients(
-                            layers, clf, syn_x32, syn_y, plus, minus,
-                            index_of)
-                except F.FusedPathUnavailable:
-                    fused_pm = None
-                # The sequential reference is probe work: it only exists to
-                # validate the fused bytes, and it runs in whichever process
-                # first sees this signature (verdicts ride along fork into
-                # sweep workers).  Emit no telemetry for it so counter
-                # parity between serial and worker runs is preserved.
-                with obs.scoped_telemetry(obs.Telemetry()):
-                    serial_pm = _serial_fd_passes(
-                        model, params, syn_x32, syn_y, direction, eps,
-                        augmentation)
-                ok = (fused_pm is not None
-                      and np.array_equal(fused_pm[0], serial_pm[0])
-                      and np.array_equal(fused_pm[1], serial_pm[1]))
-                if not ok:
-                    _FD_STATS["verification_failures"] += 1
-                _FUSE_VERDICTS[key] = ok
-                fused = ok
-                grad_plus, grad_minus = serial_pm
-            elif verdict:
-                plus, minus = _lane_param_sets(params, direction, eps)
-                try:
-                    with obs.span("pass.fd_fused"):
-                        grad_plus, grad_minus = _fused_input_gradients(
-                            layers, clf, syn_x32, syn_y, plus, minus,
-                            index_of)
-                    fused = True
-                except F.FusedPathUnavailable:  # pragma: no cover - defensive
-                    grad_plus, grad_minus = _serial_fd_passes(
-                        model, params, syn_x32, syn_y, direction, eps,
-                        augmentation)
-            else:
-                grad_plus, grad_minus = _serial_fd_passes(
-                    model, params, syn_x32, syn_y, direction, eps,
-                    augmentation)
-        if fused:
-            _FD_STATS["fused_dispatches"] += 1
-            obs.counter("fd.fused_dispatches")
-        else:
-            _FD_STATS["serial_fallbacks"] += 1
-            obs.counter("fd.serial_fallbacks")
-
+    grad_plus, grad_minus = _serial_fd_passes(
+        model, params, np.asarray(syn_x, dtype=np.float32), syn_y, direction,
+        eps, augmentation)
+    _FD_STATS["serial_fallbacks"] += 1
+    obs.counter("fd.serial_fallbacks")
     if stats_out is not None:
-        stats_out["passes"] = 1 if fused else 2
-        stats_out["fused"] = fused
+        stats_out["passes"] = 2
     return (grad_plus - grad_minus) / (2.0 * eps)

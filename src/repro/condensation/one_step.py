@@ -174,14 +174,13 @@ class OneStepMatcher(CondensationMethod):
         use_disc = self.alpha != 0.0 and deployed_model is not None
         model = model_factory(rng)
         matching_passes = 0
-        fused_evals = 0
         # One StepCache scope per iteration: pass.g_syn and the FD passes
         # all read the same decoded block, so its first-layer im2col is
         # derived once and shared.  The scope is keyed by array identity;
         # syn_x is rebuilt from the freshly stepped storage each iteration,
         # so the scope (and an explicit note_write) end before the optimizer
         # runs.
-        caching = (kernels.fast_kernels_enabled() and kernels.fd_fuse_enabled())
+        caching = kernels.fast_kernels_enabled()
         # Segment-level scope on the real batch: when the whole real set fits
         # in one batch, _real_batch returns real_x itself every iteration, so
         # its first-layer columns are content-stable across the segment and
@@ -240,11 +239,10 @@ class OneStepMatcher(CondensationMethod):
                         epsilon_numerator=self.epsilon_numerator,
                         stats_out=fd_stats)
                     total_grad = matching_grad
-                    # passes: g_real, g_syn, grad_{g_syn}D, plus however many
-                    # FD evaluations actually ran (2 sequential, 1 fused, 0
-                    # when the direction norm was zero).
+                    # passes: g_real, g_syn, grad_{g_syn}D, plus the FD
+                    # evaluations that actually ran (2, or 0 when the
+                    # direction norm was zero).
                     fd_passes = fd_stats.get("passes", 2)
-                    fused_evals += bool(fd_stats.get("fused"))
                     stats.forward_backward_passes += 3 + fd_passes
                     matching_passes += 3 + fd_passes
 
@@ -278,7 +276,6 @@ class OneStepMatcher(CondensationMethod):
 
         stats.matching_loss /= max(stats.iterations, 1)
         stats.extra["matching_passes"] = matching_passes
-        stats.extra["fused"] = fused_evals
         if skipped_steps:
             stats.extra["health_skipped"] = skipped_steps
         buffer.images[active_rows] = syn_store.data

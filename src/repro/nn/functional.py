@@ -23,11 +23,7 @@ from .tensor import Tensor
 from .workspace import default_arena, default_step_cache
 
 __all__ = [
-    "FusedPathUnavailable",
     "conv2d",
-    "conv2d_lanes",
-    "conv2d_lanes_shared",
-    "instance_norm2d_lanes",
     "avg_pool2d",
     "max_pool2d",
     "global_avg_pool2d",
@@ -46,12 +42,6 @@ __all__ = [
 def _f32(a: np.ndarray) -> np.ndarray:
     """Cast to float32 only when needed (avoids astype's unconditional copy)."""
     return a if a.dtype == np.float32 else a.astype(np.float32)
-
-
-class FusedPathUnavailable(RuntimeError):
-    """Raised by the lane-grouped ops when the composite layout cannot
-    reproduce the serial bytes for this shape; the caller falls back to the
-    sequential two-pass evaluation."""
 
 
 # ----------------------------------------------------------------------
@@ -124,266 +114,6 @@ def conv2d(x: Tensor, weight: Tensor, bias: Tensor | None = None, *,
     if not out_t.requires_grad and not cache_owned:
         default_arena.release(cols6)
     return out_t
-
-
-# ----------------------------------------------------------------------
-# Lane-grouped convolution / normalization (fused ±ε finite differences)
-# ----------------------------------------------------------------------
-# The Eq. 7 matcher's two perturbed input-gradient passes run the *same*
-# network graph with two different parameter sets.  The ops below evaluate
-# both "lanes" as one batch-stacked pass: lane ``t`` occupies batch rows
-# ``[t*n, (t+1)*n)`` of a composite and is transformed by its own weight
-# arrays.  They are plain ndarray-in/ndarray-out functions returning a
-# ``(result, backward)`` pair — the fused evaluator chains the closures by
-# hand instead of paying Tensor-graph bookkeeping per node; weights are
-# plain arrays because the fused passes are input-gradient only.
-#
-# Bit-identity with the sequential per-lane evaluation holds because
-# (a) composite results are allocated in the serial output layout
-# (``lane_plan()["order"]``), so lane slices carry the exact strides
-# downstream float32 reductions are sensitive to, and (b) every
-# contraction route (matmul vs einsum, composite-sliced vs per-lane
-# operands, composite col2im) is proven byte-identical by the
-# ``ConvPlan.lane_plan`` probe, with per-lane copy fallbacks otherwise.
-def _lane_fwd(plan, info, route, cols_list, weights, biases, lanes, n, oc):
-    """Shared forward for the lane convs: per-lane contractions into lane
-    slices of a serial-layout composite.  ``cols_list[t]`` is lane ``t``'s
-    ``(n, k, l)`` column view; ``route`` is the probe-proven contraction
-    dispatch for these operands.  Returns the (lanes*n, oc, oh, ow)
-    composite."""
-    l = plan.oh * plan.ow
-    out = kernels.alloc_lane_out((lanes * n, oc, l), info["order"],
-                                 arena=None)
-    for t in range(lanes):
-        w2 = weights[t].reshape(oc, -1)
-        cols = cols_list[t]
-        lane = out[t * n:(t + 1) * n]
-        if route == "matmul":
-            np.matmul(w2, cols, out=lane)
-        elif route == "matmul_copy":
-            np.copyto(lane, np.matmul(w2, cols))
-        elif route == "einsum_direct":
-            np.einsum("ok,nkl->nol", w2, cols, out=lane, optimize=False)
-        elif route == "einsum":
-            np.einsum("ok,nkl->nol", w2, cols, out=lane,
-                      optimize=plan.fwd_path(w2, cols))
-        else:  # per-lane copy: always byte-safe, never layout-dependent
-            np.copyto(lane, np.einsum("ok,nkl->nol", w2, cols,
-                                      optimize=plan.fwd_path(w2, cols)))
-    out4 = out.reshape(lanes * n, oc, plan.oh, plan.ow)
-    for t in range(lanes):
-        if biases[t] is not None:
-            out4[t * n:(t + 1) * n] += biases[t].reshape(1, oc, 1, 1)
-    return out4
-
-
-def _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc):
-    """Composite ``(lanes*n, c, h, w)`` input gradient for the lane convs.
-
-    When the probe proved the composite route (``comp_dcols``), the per-lane
-    gradient columns are contracted into lane slots of one ``plan2``-sized
-    buffer and scattered by a *single* col2im (the scatter is batch-row
-    independent, and byte-identity of the whole chain was verified by
-    :meth:`ConvPlan.lane_plan`).  Otherwise falls back to per-lane
-    col2im canvases copied into the composite."""
-    l = plan.oh * plan.ow
-    nt = lanes * n
-    if info["comp_dcols"]:
-        route = info["dcols"]
-        dcols2 = default_arena.acquire(plan2.cols_shape, np.float32)
-        for t in range(lanes):
-            w2 = weights[t].reshape(oc, -1)
-            gflat = g[t * n:(t + 1) * n].reshape(n, oc, l)
-            slot = dcols2[t * n:(t + 1) * n]
-            if route == "matmul":
-                np.matmul(w2.T, gflat, out=slot)
-            elif route == "einsum_direct":
-                np.einsum("ok,nol->nkl", w2, gflat, out=slot,
-                          optimize=False)
-            else:
-                np.einsum("ok,nol->nkl", w2, gflat, out=slot,
-                          optimize=plan.dcols_path(w2, gflat))
-        dx2 = kernels.col2im(dcols2, plan2)
-        default_arena.release(dcols2)
-        return dx2
-    dx2 = np.empty((nt, plan.c, plan.h, plan.w), dtype=np.float32)
-    for t in range(lanes):
-        w2 = weights[t].reshape(oc, -1)
-        gflat = g[t * n:(t + 1) * n].reshape(n, oc, l)
-        dcols = np.einsum("ok,nol->nkl", w2, gflat,
-                          optimize=plan.dcols_path(w2, gflat))
-        dx2[t * n:(t + 1) * n] = kernels.col2im(dcols, plan)
-    return dx2
-
-
-def conv2d_lanes_shared(x: np.ndarray, weights, biases, *, stride: int = 1,
-                        padding: int = 0):
-    """First-layer lane conv: every lane convolves the *same* input batch.
-
-    Returns ``(out4, backward)`` where ``out4`` is the ``(lanes*n, ...)``
-    composite ndarray and ``backward(g)`` maps the composite output gradient
-    to the composite input gradient (lane ``t`` in rows ``[t*n, (t+1)*n)``).
-    The single im2col of ``x`` is served from (and shared via) the active
-    :class:`~repro.nn.workspace.StepCache` scope, so ``pass.g_syn`` and the
-    fused ±ε pass derive the first-layer columns exactly once per condense
-    iteration.  Raises :class:`FusedPathUnavailable` when the probe found
-    no batch-sliceable serial layout for this shape.
-    """
-    lanes = len(weights)
-    n, c, h, w = x.shape
-    oc, ic, kh, kw = weights[0].shape
-    if ic != c:
-        raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
-    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    ckk = plan.ckk_safe(oc)
-    info = plan.lane_plan(oc, ckk, lanes)
-    if not info["available"]:
-        raise FusedPathUnavailable(
-            f"batch axis not slowest in forward output layout {info['order']}")
-    plan2 = kernels.get_conv_plan(lanes * n, c, h, w, kh, kw, stride, padding)
-    xd = _f32(x)
-    cache_key = (plan.key, bool(ckk))
-    cols6 = default_step_cache.lookup(xd, cache_key)
-    if cols6 is None:
-        cols6 = kernels.im2col(xd, plan, ckk=ckk)
-        default_step_cache.store(xd, cache_key, cols6)
-    cols = cols6.reshape(plan.cols_shape)
-    out4 = _lane_fwd(plan, info, info["fwd_shared"], [cols] * lanes,
-                     weights, biases, lanes, n, oc)
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        dx2 = _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc)
-        if not default_step_cache.owns(cols6):
-            default_arena.release(cols6)
-        return dx2
-
-    return out4, backward
-
-
-def conv2d_lanes(x: np.ndarray, weights, biases, *, stride: int = 1,
-                 padding: int = 0):
-    """Deeper-layer lane conv: lane ``t``'s weights applied to its batch
-    rows of the composite input; returns ``(out4, backward)`` like
-    :func:`conv2d_lanes_shared`.  Input-gradient only (the perturbed
-    weights are plain arrays, mirroring ``frozen_parameters`` in the
-    sequential FD passes).
-
-    When the probe proved it byte-safe (``comp_cols``), the columns for
-    *all* lanes come from a single composite im2col (the patch expansion is
-    batch-row independent) and the contractions take batch-sliced operand
-    views; otherwise each lane fills its own buffer exactly as the
-    sequential pass would."""
-    lanes = len(weights)
-    nt, c, h, w = x.shape
-    n = nt // lanes
-    oc, ic, kh, kw = weights[0].shape
-    if ic != c:
-        raise ValueError(f"conv2d channel mismatch: input has {c}, kernel expects {ic}")
-    plan = kernels.get_conv_plan(n, c, h, w, kh, kw, stride, padding)
-    ckk = plan.ckk_safe(oc)
-    info = plan.lane_plan(oc, ckk, lanes)
-    if not info["available"]:
-        raise FusedPathUnavailable(
-            f"batch axis not slowest in forward output layout {info['order']}")
-    plan2 = kernels.get_conv_plan(nt, c, h, w, kh, kw, stride, padding)
-    xd = _f32(x)
-    if info["comp_cols"]:
-        bufs = [kernels.im2col(xd, plan2, ckk=ckk)]
-        comp_cols = bufs[0].reshape(plan2.cols_shape)
-        cols_list = [comp_cols[t * n:(t + 1) * n] for t in range(lanes)]
-    else:
-        bufs = [kernels.im2col(xd[t * n:(t + 1) * n], plan, ckk=ckk)
-                for t in range(lanes)]
-        cols_list = [b.reshape(plan.cols_shape) for b in bufs]
-    out4 = _lane_fwd(plan, info, info["fwd"], cols_list, weights, biases,
-                     lanes, n, oc)
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        dx2 = _lane_bwd_dx(plan, plan2, info, weights, g, lanes, n, oc)
-        for b in bufs:
-            default_arena.release(b)
-        return dx2
-
-    return out4, backward
-
-
-def _norm_backward_into(g, xhat, inv_std, axes, out):
-    """:func:`_norm_backward`, but writing into ``out`` (a composite lane
-    slice).  Every step is elementwise or reduces over ``g``/``xhat``
-    (fresh per-lane arrays), so the destination layout cannot perturb the
-    float32 summation order — the bytes match the fresh-array variant."""
-    m = 1
-    for a in axes:
-        m *= xhat.shape[a]
-    sum_g = g.sum(axis=axes, keepdims=True)
-    sum_gx = (g * xhat).sum(axis=axes, keepdims=True)
-    np.multiply(g, m, out=out)
-    out -= sum_g
-    out -= xhat * sum_gx
-    out *= inv_std * np.float32(1.0 / m)
-
-
-def instance_norm2d_lanes(x: np.ndarray, gammas, betas, eps: float = 1e-5):
-    """Lane-grouped instance normalization: lane ``t`` of the composite is
-    normalized with its own gamma/beta arrays; returns ``(out, backward)``.
-    Per-sample reductions run on lane slices of the composite, whose
-    strides match the sequential pass by construction (serial-layout conv
-    output, C-contiguous elsewhere); results are written straight into lane
-    slices of the composite output (elementwise stores are layout-safe)."""
-    lanes = len(gammas)
-    nt, c = x.shape[0], x.shape[1]
-    n = nt // lanes
-    axes = (2, 3)
-    xd = _f32(x)
-    lane_ctx = []
-    out = None
-    for t in range(lanes):
-        xhat, var = _norm_stats(xd[t * n:(t + 1) * n], axes)
-        inv_std = 1.0 / np.sqrt(var + np.float32(eps))
-        xhat *= inv_std
-        if out is None:
-            # The serial op returns a fresh ufunc result, whose memory
-            # order follows ``xhat`` — typically the conv output's
-            # (n, l, c)-major layout, *not* C order.  Allocate the
-            # composite in that exact layout so lane slices reproduce the
-            # serial strides for the downstream (layout-sensitive) pooling
-            # and norm reductions.
-            order = tuple(int(i) for i in
-                          np.argsort([-s for s in xhat.strides],
-                                     kind="stable"))
-            if order[0] != 0:
-                raise FusedPathUnavailable(
-                    f"batch axis not slowest in norm layout {order}")
-            mem = np.empty(tuple(xd.shape[i] for i in order),
-                           dtype=np.float32)
-            out = mem.transpose(tuple(int(i) for i in np.argsort(order)))
-        gamma_r = (gammas[t].reshape(1, c, 1, 1)
-                   if gammas[t] is not None else None)
-        beta_r = (betas[t].reshape(1, c, 1, 1)
-                  if betas[t] is not None else None)
-        lane = out[t * n:(t + 1) * n]
-        if gamma_r is not None:
-            np.multiply(xhat, gamma_r, out=lane)
-            if beta_r is not None:
-                lane += beta_r
-        elif beta_r is not None:
-            np.add(xhat, beta_r, out=lane)
-        else:
-            np.copyto(lane, xhat)
-        lane_ctx.append((xhat, inv_std, gamma_r))
-
-    def backward(g: np.ndarray) -> np.ndarray:
-        # The serial backward returns ``m * g`` reworked in place — a fresh
-        # array following ``g``'s memory order; ``empty_like`` replicates it.
-        dx = np.empty_like(g, dtype=np.float32)
-        for t, (xhat, inv_std, gamma_r) in enumerate(lane_ctx):
-            gl = g[t * n:(t + 1) * n]
-            gy = gl * gamma_r if gamma_r is not None else gl
-            _norm_backward_into(gy, xhat, inv_std, axes,
-                                dx[t * n:(t + 1) * n])
-        return dx
-
-    return out, backward
 
 
 # ----------------------------------------------------------------------

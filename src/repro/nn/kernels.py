@@ -12,7 +12,12 @@ computed once and cached in a bounded LRU keyed on
 * a *clipped slice table* for the col2im scatter-add, precomputed so the
   scatter writes straight into the **unpadded** gradient canvas (no padded
   scratch, no interior copy) as a short loop of large strided adds;
-* cached einsum contraction paths for the conv weight-gradient reduction.
+* cached einsum contraction paths for the conv weight-gradient reduction;
+* the probed column-buffer layout (:meth:`ConvPlan.ckk_safe`), a
+  deterministic byte comparison cached per output-channel count.
+
+Under the fast kernels every conv, the finite-difference passes of Eq. 7
+included, runs through this one plan-cached path.
 
 The module also owns the **fast/reference switch**: the seed (pre-plan)
 implementations of ``_im2col``/``_col2im`` are preserved verbatim as
@@ -40,15 +45,12 @@ __all__ = [
     "clear_plan_cache",
     "set_plan_cache_limit",
     "im2col",
-    "alloc_lane_out",
     "col2im",
     "im2col_reference",
     "col2im_reference",
     "fast_kernels_enabled",
     "set_fast_kernels",
     "reference_mode",
-    "fd_fuse_enabled",
-    "set_fd_fuse",
 ]
 
 
@@ -82,23 +84,6 @@ def reference_mode():
 
 
 # ----------------------------------------------------------------------
-# Fused finite-difference switch
-# ----------------------------------------------------------------------
-_FD_FUSE = os.environ.get("REPRO_FD_FUSE", "1").strip().lower() not in (
-    "0", "false", "no", "off")
-
-
-def fd_fuse_enabled() -> bool:
-    """Whether the Eq. 7 matcher may use the fused ±ε evaluation path."""
-    return _FD_FUSE
-
-
-def set_fd_fuse(enabled: bool) -> None:
-    global _FD_FUSE
-    _FD_FUSE = bool(enabled)
-
-
-# ----------------------------------------------------------------------
 # Convolution plans
 # ----------------------------------------------------------------------
 class ConvPlan:
@@ -108,7 +93,7 @@ class ConvPlan:
         "key", "n", "c", "h", "w", "kh", "kw", "stride", "pad",
         "hp", "wp", "oh", "ow", "cols_shape6", "cols_shape",
         "slices", "_fwd_path", "_dw_path", "_dcols_path",
-        "_ckk_safe", "_lane_plans",
+        "_ckk_safe",
     )
 
     def __init__(self, n: int, c: int, h: int, w: int, kh: int, kw: int,
@@ -129,7 +114,6 @@ class ConvPlan:
         self._dw_path = None
         self._dcols_path = None
         self._ckk_safe: dict[int, bool] = {}
-        self._lane_plans: dict[tuple, dict] = {}
 
     # -- scatter tables ----------------------------------------------------
     def _build_slices(self):
@@ -231,175 +215,14 @@ class ConvPlan:
         self._ckk_safe[oc] = safe
         return safe
 
-    # -- fused finite-difference lane probe ---------------------------------
-    def lane_plan(self, oc: int, ckk: bool, lanes: int = 2) -> dict:
-        """Probe the fastest bit-safe dispatch routes for lane-grouped convs.
-
-        The fused ±ε evaluator stacks ``lanes`` perturbed weight sets along
-        the batch axis: one ``(lanes*n, oc, l)`` composite result, each lane
-        written by its own contraction with ``out=`` pointing at the lane's
-        batch slice.  As with :meth:`ckk_safe` we refuse to mirror numpy's
-        dispatch heuristics and probe every candidate route on deterministic
-        random operands, byte-comparing against exactly what the sequential
-        per-lane pass computes.  The cached verdict dict holds:
-
-        * ``available`` — the serial forward output layout puts the batch
-          axis slowest; composite lane slices can then carry the serial
-          strides downstream float32 reductions are sensitive to.  When
-          ``False`` nothing else is meaningful and the caller must run the
-          sequential path.
-        * ``order`` — that serial output axis order (for
-          :func:`alloc_lane_out`).
-        * ``fwd`` / ``comp_cols`` — forward route (``"matmul"``,
-          ``"matmul_copy"``, ``"einsum"``, or per-lane-``"copy"``) and
-          whether one composite
-          ``(lanes*n)`` im2col's lane slices are proven usable as operands
-          (halving im2col work on the non-shared layers).
-        * ``fwd_shared`` — forward route when all lanes contract the *same*
-          ``(n,)``-shaped column buffer (the shared-input first layer).
-        * ``comp_dcols`` / ``dcols`` — whether the backward may write both
-          lanes' gradient columns into one composite buffer and scatter it
-          with a single ``(lanes*n)`` col2im, and the contraction route
-          used for it.
-
-        Verdicts are keyed by ``(oc, ckk, lanes)``.
-        """
-        key = (oc, bool(ckk), int(lanes))
-        cached = self._lane_plans.get(key)
-        if cached is not None:
-            return cached
-        info = self._probe_lane_plan(oc, bool(ckk), int(lanes))
-        self._lane_plans[key] = info
-        return info
-
-    def _probe_lane_plan(self, oc: int, ckk: bool, lanes: int) -> dict:
-        n, c, h, w = self.n, self.c, self.h, self.w
-        k = c * self.kh * self.kw
-        l = self.oh * self.ow
-        rng = np.random.default_rng(0xFD_F5)
-        x = rng.standard_normal((lanes * n, c, h, w)).astype(np.float32)
-        ws = [rng.standard_normal((oc, k)).astype(np.float32)
-              for _ in range(lanes)]
-        # Sequential reference: per-lane columns and fresh contractions,
-        # exactly as two independent conv2d calls would compute them.
-        ref_bufs = [im2col(x[t * n:(t + 1) * n], self, ckk=ckk)
-                    for t in range(lanes)]
-        ref_cols = [buf.reshape(self.cols_shape) for buf in ref_bufs]
-        refs = [np.einsum("ok,nkl->nol", ws[t], ref_cols[t],
-                          optimize=self.fwd_path(ws[t], ref_cols[t]))
-                for t in range(lanes)]
-        order = tuple(int(i) for i in
-                      np.argsort([-s for s in refs[0].strides], kind="stable"))
-        info = {"available": order[0] == 0, "order": order,
-                "fwd": "copy", "fwd_shared": "copy", "comp_cols": False,
-                "comp_dcols": False, "dcols": "einsum"}
-        if not info["available"]:
-            for buf in ref_bufs:
-                default_arena.release(buf)
-            return info
-
-        plan2 = get_conv_plan(lanes * n, c, h, w, self.kh, self.kw,
-                              self.stride, self.pad)
-        comp_buf = im2col(x, plan2, ckk=ckk)
-        comp_cols = comp_buf.reshape(plan2.cols_shape)
-
-        def lanes_match(route, cols_of, refs_of) -> bool:
-            out = alloc_lane_out((lanes * n, oc, l), order, arena=None)
-            try:
-                for t in range(lanes):
-                    lane = out[t * n:(t + 1) * n]
-                    cols_t = cols_of(t)
-                    if route == "matmul":
-                        np.matmul(ws[t], cols_t, out=lane)
-                    elif route == "matmul_copy":
-                        np.copyto(lane, np.matmul(ws[t], cols_t))
-                    elif route == "einsum_direct":
-                        np.einsum("ok,nkl->nol", ws[t], cols_t, out=lane,
-                                  optimize=False)
-                    else:
-                        np.einsum("ok,nkl->nol", ws[t], cols_t, out=lane,
-                                  optimize=self.fwd_path(ws[t], cols_t))
-                    ref = refs_of(t)
-                    if not (np.array_equal(ref, lane)
-                            and ref.strides == lane.strides):
-                        return False
-            except (TypeError, ValueError):  # pragma: no cover - numpy quirk
-                return False
-            return True
-
-        fwd_routes = ("matmul", "matmul_copy", "einsum_direct", "einsum")
-        for cols_of, composite in (
-                (lambda t: comp_cols[t * n:(t + 1) * n], True),
-                (lambda t: ref_cols[t], False)):
-            route = next((r for r in fwd_routes
-                          if lanes_match(r, cols_of, lambda t: refs[t])),
-                         None)
-            if route is not None:
-                info["fwd"], info["comp_cols"] = route, composite
-                break
-        # Shared-input first layer: every lane contracts the SAME column
-        # buffer, so the sequential reference uses lane 0's columns for
-        # every weight set.
-        refs_shared = [np.einsum("ok,nkl->nol", ws[t], ref_cols[0],
-                                 optimize=self.fwd_path(ws[t], ref_cols[0]))
-                       for t in range(lanes)]
-        for route in fwd_routes:
-            if lanes_match(route, lambda t: ref_cols[0],
-                           lambda t: refs_shared[t]):
-                info["fwd_shared"] = route
-                break
-
-        # Backward: both lanes' gradient columns in one composite buffer,
-        # scattered by a single (lanes*n)-row col2im.
-        g = rng.standard_normal((lanes * n, oc, l)).astype(np.float32)
-        ref_dx = []
-        for t in range(lanes):
-            gl = g[t * n:(t + 1) * n]
-            dcols = np.einsum("ok,nol->nkl", ws[t], gl,
-                              optimize=self.dcols_path(ws[t], gl))
-            ref_dx.append(col2im(dcols, self))
-        for route in ("matmul", "einsum_direct", "einsum"):
-            dcols2 = np.empty(plan2.cols_shape, dtype=np.float32)
-            try:
-                for t in range(lanes):
-                    gl = g[t * n:(t + 1) * n]
-                    slot = dcols2[t * n:(t + 1) * n]
-                    if route == "matmul":
-                        np.matmul(ws[t].T, gl, out=slot)
-                    elif route == "einsum_direct":
-                        np.einsum("ok,nol->nkl", ws[t], gl, out=slot,
-                                  optimize=False)
-                    else:
-                        np.einsum("ok,nol->nkl", ws[t], gl, out=slot,
-                                  optimize=self.dcols_path(ws[t], gl))
-            except (TypeError, ValueError):  # pragma: no cover - numpy quirk
-                continue
-            dx2 = col2im(dcols2, plan2)
-            if all(np.array_equal(ref_dx[t], dx2[t * n:(t + 1) * n])
-                   for t in range(lanes)):
-                info["comp_dcols"], info["dcols"] = True, route
-                break
-
-        default_arena.release(comp_buf)
-        for buf in ref_bufs:
-            default_arena.release(buf)
-        return info
-
     def approx_nbytes(self) -> int:
         """Approximate resident bytes of this plan.
 
-        Any lane-plan ndarrays dominate; the slice table and the small
-        per-plan dicts are covered by a flat per-entry overhead estimate
-        (the ledger's 10% audit tolerance absorbs the slack).
+        The slice table and the small per-plan dicts are covered by a flat
+        per-entry overhead estimate (the ledger's 10% audit tolerance
+        absorbs the slack).
         """
-        total = 512 + 96 * len(self.slices)
-        for info in self._lane_plans.values():
-            if isinstance(info, dict):
-                for value in info.values():
-                    nbytes = getattr(value, "nbytes", None)
-                    if nbytes is not None:
-                        total += int(nbytes)
-        return total
+        return 512 + 96 * len(self.slices)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"ConvPlan(n={self.n}, c={self.c}, hw=({self.h},{self.w}), "
@@ -522,22 +345,6 @@ def im2col(x: np.ndarray, plan: ConvPlan, arena=default_arena, *,
     if p:
         arena.release(xp)
     return buf
-
-
-def alloc_lane_out(shape3: tuple[int, int, int], order: tuple[int, ...], *,
-                   arena=default_arena) -> np.ndarray:
-    """Allocate a logical ``(N, oc, l)`` result whose memory axis order is
-    ``order`` (slowest to fastest), as recorded by
-    :meth:`ConvPlan.lane_plan`.  Lane slices along axis 0 then carry exactly
-    the serial contraction's strides.
-    ``arena=None`` uses a plain allocation (probe paths)."""
-    permuted = tuple(shape3[i] for i in order)
-    if arena is None:
-        mem = np.empty(permuted, dtype=np.float32)
-    else:
-        mem = arena.acquire(permuted, np.float32)
-    inverse = tuple(int(i) for i in np.argsort(order))
-    return mem.transpose(inverse)
 
 
 def col2im(dcols: np.ndarray, plan: ConvPlan) -> np.ndarray:

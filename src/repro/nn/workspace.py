@@ -238,11 +238,9 @@ class StepCache:
     def scope(self, arr: np.ndarray | None):
         """Activate caching for ``arr`` within the ``with`` block.
 
-        Re-entrant for the same array (the FD evaluator opens a nested
-        scope inside the condense loop's per-iteration scope), and
-        composable across arrays (the segment-level real-batch scope wraps
-        the per-iteration synthetic scopes).  A no-op when ``arr`` is
-        ``None``.
+        Re-entrant for the same array, and composable across arrays (the
+        segment-level real-batch scope wraps the per-iteration synthetic
+        scopes).  A no-op when ``arr`` is ``None``.
         """
         if arr is None:
             yield self

@@ -18,7 +18,7 @@ pipeline the way a real parallel run would:
    fatal, in this leg — the bench pass owns the hard verdict).
 
 The DECO grid point runs the Eq. 7 matcher, so the tasks always emit
-``fd.*`` dispatch counters and the aggregate comparison is never vacuous.
+``fd.*`` counters and the aggregate comparison is never vacuous.
 """
 
 from __future__ import annotations

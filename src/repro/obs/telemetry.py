@@ -363,8 +363,8 @@ def collect_runtime_counters(registry: Telemetry | None = None, *,
     from ..nn.workspace import default_step_cache  # local import, same reason
     for key, val in default_step_cache.stats().items():
         values[f"step_cache.{key}"] = float(val)
-    from ..condensation.matching import fd_fuse_stats  # local import, as above
-    for key, val in fd_fuse_stats().items():
+    from ..condensation.matching import fd_stats  # local import, as above
+    for key, val in fd_stats().items():
         values[f"fd.{key}"] = float(val)
     from .health import health_stats  # local: health imports this module
     for key, val in health_stats().items():

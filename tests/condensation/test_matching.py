@@ -188,3 +188,82 @@ class TestFiniteDifference:
         dist_after = gradient_distance([Tensor(g) for g in g_new],
                                        g_real).item()
         assert dist_after < dist_before
+
+
+# ----------------------------------------------------------------------
+# Pass accounting and the fd.serial_fallbacks counter
+# ----------------------------------------------------------------------
+def _fd_case(shape, num_classes, width, depth, n, seed=0):
+    rng = np.random.default_rng(seed)
+    model = ConvNet(shape[0], num_classes, shape[-1], width=width,
+                    depth=depth, rng=np.random.default_rng(seed + 7))
+    x = rng.standard_normal((n, *shape)).astype(np.float32)
+    y = rng.integers(0, num_classes, size=n).astype(np.int64)
+    direction = [rng.standard_normal(p.data.shape).astype(np.float32)
+                 for p in model.parameters()]
+    return model, x, y, direction
+
+
+def test_augmented_path_stays_sequential():
+    model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
+
+    from repro.data.transforms import sample_augmentation
+    augmentation = sample_augmentation(8, np.random.default_rng(0))
+    stats: dict = {}
+    finite_difference_matching_grad(
+        model, x, y, direction, augmentation=augmentation, stats_out=stats)
+    assert stats == {"passes": 2}
+
+
+def test_zero_direction_short_circuits():
+    model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6)
+    zeros = [np.zeros_like(d) for d in direction]
+    stats: dict = {}
+    grad = finite_difference_matching_grad(model, x, y, zeros,
+                                           stats_out=stats)
+    assert stats == {"passes": 0}
+    assert not grad.any()
+
+
+def _fd_sweep_worker(config, context, arrays):
+    """Sweep task: one FD evaluation, counted via obs."""
+    from repro import obs as _obs  # picklable module-level worker
+
+    model, x, y, direction = _fd_case((1, 8, 8), 3, 4, 2, 6,
+                                      seed=config["seed"])
+    stats: dict = {}
+    finite_difference_matching_grad(model, x, y, direction, stats_out=stats)
+    _obs.counter("task.calls")
+    return stats["passes"]
+
+
+def test_fd_counter_parity_jobs1_vs_jobs2(tmp_path):
+    from repro import obs
+    from repro.obs import aggregate_worker_counters
+    from repro.obs.export import WORKERS_FILENAME
+    from repro.obs.sinks import read_jsonl_tolerant
+    from repro.parallel import run_sweep
+
+    configs = [{"seed": 0}, {"seed": 1}]
+
+    registry = obs.Telemetry()
+    registry.enable()
+    with obs.scoped_telemetry(registry):
+        serial_passes = [o.result for o in
+                         run_sweep(_fd_sweep_worker, configs, jobs=1)]
+    serial = {name: value
+              for name, value in registry.snapshot()["counters"].items()
+              if name.startswith("fd.")}
+    assert serial_passes == [2, 2]
+    # One count per two-pass evaluation.
+    assert serial == {"fd.serial_fallbacks": 2.0}
+
+    outcomes = run_sweep(_fd_sweep_worker, configs, jobs=2,
+                         telemetry_dir=tmp_path)
+    assert [o.result for o in outcomes] == serial_passes
+    records, skipped = read_jsonl_tolerant(tmp_path / WORKERS_FILENAME)
+    assert skipped == 0
+    totals = {name: value
+              for name, value in aggregate_worker_counters(records).items()
+              if name.startswith("fd.")}
+    assert totals == serial

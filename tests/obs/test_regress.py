@@ -150,6 +150,27 @@ class TestHistoryFile:
                                "parallel/sweep/jobs=2"}
         assert all("threads" not in e["tags"] for e in loaded)
 
+    def test_retired_fd_fuse_lines_still_load(self, tmp_path):
+        # The committed history keeps lines from the retired fused-FD
+        # bench; they must still parse and be judged like any other line.
+        path = tmp_path / HISTORY_FILENAME
+        legacy = {"cpu_count": 1, "platform": "test-box", "threads": 1}
+        for value in (0.07, 0.07):
+            append_history(path, "fd_fuse",
+                           {"fd_fuse/eval_fused": value,
+                            "fd_fuse/segment_unfused": 0.08}, legacy)
+        append_history(path, "kernels", {"kernels/conv2d_fwd": 1.0}, TAGS)
+        entries, skipped = load_history(path)
+        assert skipped == 0
+        assert [e["section"] for e in entries] == ["fd_fuse", "fd_fuse",
+                                                   "kernels"]
+        report = check_regressions(path)
+        assert report.ok
+        assert {"fd_fuse/eval_fused", "fd_fuse/segment_unfused"} <= {
+            d.name for d in report.deltas}
+        # A snapshot that still carries the section yields no metrics.
+        assert metrics_from_snapshot({"fd_fuse": {"fused_s": 0.07}}) == {}
+
     def test_real_repo_history_passes(self):
         # The committed seed history must never itself flag a regression.
         report = check_regressions()
